@@ -528,10 +528,15 @@ class CheckpointTimer:
         self.epoch = start_epoch
         self._last = _wallclock.perf_counter()
 
-    def due(self) -> bool:
+    def remaining(self) -> float:
+        """Seconds until the next capture is due (``0.0`` once due)."""
         if self.interval_s <= 0:
-            return True
-        return _wallclock.perf_counter() - self._last >= self.interval_s
+            return 0.0
+        left = self.interval_s - (_wallclock.perf_counter() - self._last)
+        return max(left, 0.0)
+
+    def due(self) -> bool:
+        return self.remaining() <= 0.0
 
     def mark(self) -> int:
         """Advance to the next epoch; returns the epoch just captured."""

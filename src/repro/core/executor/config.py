@@ -103,7 +103,11 @@ class RunConfig:
     deadlock_grace:
         Seconds of global stillness before the deadlock watchdog fires.
     poll_interval:
-        Polling cadence for parked workers/threads.
+        Check cadence, not a latency floor.  Threaded: how often the
+        supervisor re-checks the deadline and deadlock state, and the
+        bound on a single park; a run still returns as soon as its last
+        context finishes, and aborts and checkpoint pauses wake parked
+        threads directly.  Process: the idle workers' polling tick.
     timeslice:
         Forced timeslice for worker-side cooperative scheduling.
     shuttle:

@@ -20,10 +20,14 @@ algorithm, blocking structure, and — critically — the simulated results are
 those of the paper's runtime.  Cross-executor tests assert cycle-exact
 agreement with :class:`~repro.core.executor.sequential.SequentialExecutor`.
 
-Deadlock detection: a watchdog aborts the run when every unfinished thread
-has been parked with no progress for a grace period, then dumps a stall
-report — each blocked context, the channel it is parked on, and the
-simulated clocks of both of that channel's endpoints.
+Supervision: the thread that calls :meth:`ThreadedExecutor.execute` is
+the run's one supervision point.  It sleeps on an event that the last
+finishing context (or any aborting thread) sets, waking early only to
+check the deadline, take a due checkpoint, or watch for a deadlock: every
+unfinished thread parked with no progress for a grace period, which
+aborts the run with a stall report — each blocked context, the channel
+it is parked on, and the simulated clocks of both of that channel's
+endpoints.  No run waits out a poll interval to finish.
 
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 trace the run.  Each context appends to its own lock-free buffer from its
@@ -68,17 +72,22 @@ from .sequential import SequentialExecutor
 
 
 class _Aborted(Exception):
-    """Internal: the watchdog aborted the run (deadlock or peer failure)."""
+    """Internal: the run was aborted (deadlock, deadline or peer failure)."""
 
 
 class _TimeSync:
-    """Park/unpark support for WaitUntil on one context's clock."""
+    """Park/unpark support for WaitUntil on one context's clock.
 
-    __slots__ = ("cond", "waiter_count")
+    ``wakes`` holds the wake events of idle cluster drivers waiting on
+    this clock; they count in ``waiter_count`` like parked threads do.
+    """
+
+    __slots__ = ("cond", "waiter_count", "wakes")
 
     def __init__(self) -> None:
         self.cond = threading.Condition()
         self.waiter_count = 0
+        self.wakes: list[threading.Event] = []
 
 
 @register_executor("threaded")
@@ -88,7 +97,10 @@ class ThreadedExecutor(Executor):
     Parameters
     ----------
     poll_interval:
-        How often parked threads re-check the abort flag (seconds).
+        Cadence (seconds) of the deadlock and deadline checks, and the
+        bound on any single park.  Not a latency floor: a run returns as
+        soon as its last context finishes, and aborts and checkpoint
+        pauses wake parked threads directly.
     deadlock_grace:
         Abort if all unfinished threads stay parked with zero progress for
         this long (seconds).
@@ -130,17 +142,23 @@ class ThreadedExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
+        # Set once the run is over — the last context finished or the run
+        # aborted — waking the supervisor at once.
+        self._settled = threading.Event()
         self._progress = 0  # monotone op counter (heuristic, GIL-atomic)
         self._blocked_count = 0
         self._blocked_lock = threading.Lock()
         self._errors: list[BaseException] = []
-        self._blocked_details: dict[str, str] = {}
         # Structured park sites for stall reports: name -> (detail,
         # channel, peer context).  Written under _blocked_lock.
         self._blocked_sites: dict[str, tuple[str, Optional[Channel], Optional[Context]]] = {}
+        # What each parked thread (condition) or idle cluster driver
+        # (event) waits on, so an abort or a checkpoint pause can wake it
+        # at once.  Written under _blocked_lock.
+        self._parked_on: dict[str, Any] = {}
         self._ops_executed = 0
         # -- checkpoint pause protocol (DESIGN.md §17) -----------------
-        # The controller raises ``_ckpt_request``; every live thread
+        # The supervisor raises ``_ckpt_request``; every live thread
         # acknowledges at its next safe point — the top of its op loop
         # (executed record) or between bounded parks on an un-executed
         # op — then waits on ``_ckpt_cv`` without executing anything.
@@ -212,6 +230,8 @@ class ThreadedExecutor(Executor):
         self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
         self._unfinished = len(program.contexts) - len(done_ids)
         self._unfinished_lock = threading.Lock()
+        if self._unfinished == 0:
+            self._settled.set()
 
         obs = self.obs
         trace = obs.trace if obs is not None else None
@@ -255,42 +275,25 @@ class ThreadedExecutor(Executor):
         )
         for thread in threads:
             thread.start()
-
-        watchdog = threading.Thread(
-            target=self._watch, args=(threads,), name="dam-watchdog", daemon=True
-        )
-        watchdog.start()
-        controller = None
-        if self._ckpt_timer is not None:
-            controller = threading.Thread(
-                target=self._ckpt_loop, name="dam-checkpointer", daemon=True
-            )
-            controller.start()
         sampler = self._start_sampler(
             self.metrics_interval_s, self._sampler_probe(program), self.metrics_sink
         )
         try:
+            self._supervise()
+        except BaseException:
+            # Interrupted supervisor: unwind the context threads too.
+            self._abort_run()
+            raise
+        finally:
             for thread in threads:
                 thread.join()
-        finally:
-            self._abort.set()  # stop the watchdog
-            watchdog.join()
-            if controller is not None:
-                with self._ckpt_cv:
-                    self._ckpt_cv.notify_all()
-                controller.join()
             self._stop_sampler(sampler, obs)
 
         for ctx in program.contexts:
             ctx.time.on_advance = None
 
         if self._errors:
-            error = self._errors[0]
-            if isinstance(error, DeadlockError):
-                raise error
-            if isinstance(error, DamError):
-                raise error
-            raise SimulationError("<threaded>", error) from error
+            raise self._errors[0]  # typed by _fail
         if any(ctx.finish_time is None for ctx in program.contexts):
             report = self._stall_report()
             if obs is not None:
@@ -370,6 +373,8 @@ class ThreadedExecutor(Executor):
             if _sync.waiter_count:
                 with _sync.cond:
                     _sync.cond.notify_all()
+                    for wake in _sync.wakes:
+                        wake.set()
 
         ctx.time.on_advance = notify
 
@@ -424,12 +429,7 @@ class ThreadedExecutor(Executor):
         except _Aborted:
             return
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
-            self._errors.append(
-                failure
-                if isinstance(failure, DamError)
-                else SimulationError(contexts[0].name, failure)
-            )
-            self._abort.set()
+            self._fail(failure, contexts[0].name)
         finally:
             states = getattr(driver, "_states", None) or {}
             for ctx in contexts:
@@ -454,7 +454,6 @@ class ThreadedExecutor(Executor):
         # unlike a shared event log, cannot perturb peer scheduling.
         buf = self._buffers.get(ctx.name)
         ops = 0
-        spins = 0
         wall_start = _wallclock.perf_counter() if self._collect_metrics else 0.0
         abort_is_set = self._abort.is_set
         fault = self._fault_map.pop(ctx.name, None)
@@ -546,69 +545,23 @@ class ThreadedExecutor(Executor):
                     )
                     ops += count
                     continue
-                if kind is Enqueue:
-                    self._do_enqueue(ctx, op)
-                    if buf is not None:
-                        buf.append(
-                            "enqueue", op.sender.channel.name,
-                            ctx.time.now(), op.data,
-                        )
-                elif kind is Dequeue:
-                    try:
-                        value = self._do_dequeue(ctx, op, remove=True)
-                        if buf is not None:
-                            buf.append(
-                                "dequeue", op.receiver.channel.name,
-                                ctx.time.now(), value,
-                            )
-                    except ChannelClosed as closed:
-                        exc = closed
-                elif kind is Peek:
-                    try:
-                        value = self._do_dequeue(ctx, op, remove=False)
-                        if buf is not None:
-                            buf.append(
-                                "peek", op.receiver.channel.name,
-                                ctx.time.now(), value,
-                            )
-                    except ChannelClosed as closed:
-                        exc = closed
-                elif kind is IncrCycles:
-                    ctx.time.incr(op.cycles)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                elif kind is AdvanceTo:
-                    ctx.time.advance(op.time)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                elif kind is ViewTime:
-                    value = op.context.time.now()  # SVA: plain atomic load
-                    spins += 1
-                elif kind is WaitUntil:
-                    value = self._wait_until(ctx, op)
-                else:
-                    raise SimulationError(
-                        ctx.name, TypeError(f"non-op yielded: {op!r}")
-                    )
+                try:
+                    value = self._step(ctx, op, buf)
+                except ChannelClosed as closed:
+                    exc = closed
                 self._progress += 1
                 self._ops_executed += 1
                 ops += 1
         except _Aborted:
             return
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
-            self._errors.append(
-                failure
-                if isinstance(failure, DamError)
-                else SimulationError(ctx.name, failure)
-            )
-            self._abort.set()
+            self._fail(failure, ctx.name)
         finally:
             gen.close()
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:
                 buf.append("finish", None, ctx.finish_time)
             self._ctx_ops[ctx.name] = ops
-            self._ctx_spins[ctx.name] += spins
             if self._collect_metrics:
                 self._ctx_wall[ctx.name] = (
                     _wallclock.perf_counter() - wall_start
@@ -645,59 +598,51 @@ class ThreadedExecutor(Executor):
                 self._progress += 1
                 self._ops_executed += 1
                 count += 1
-                skind = type(sub)
-                if skind is Enqueue:
-                    self._do_enqueue(ctx, sub)
-                    if buf is not None:
-                        buf.append(
-                            "enqueue", sub.sender.channel.name,
-                            ctx.time.now(), sub.data,
-                        )
-                    results.append(None)
-                elif skind is Dequeue or skind is Peek:
-                    try:
-                        result = self._do_dequeue(
-                            ctx, sub, remove=skind is Dequeue
-                        )
-                    except ChannelClosed as closed:
-                        exc = closed
-                        break  # abandon the rest of the batch
-                    if buf is not None:
-                        buf.append(
-                            "dequeue" if skind is Dequeue else "peek",
-                            sub.receiver.channel.name,
-                            ctx.time.now(), result,
-                        )
-                    results.append(result)
-                elif skind is IncrCycles:
-                    ctx.time.incr(sub.cycles)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                    results.append(None)
-                elif skind is AdvanceTo:
-                    ctx.time.advance(sub.time)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                    results.append(None)
-                elif skind is ViewTime:
-                    results.append(sub.context.time.now())
-                    self._ctx_spins[ctx.name] += 1
-                elif skind is WaitUntil:
-                    results.append(self._wait_until(ctx, sub))
-                else:
-                    raise SimulationError(
-                        ctx.name,
-                        TypeError(
-                            "FusedOps constituent must be a "
-                            f"non-fused op: {sub!r}"
-                        ),
-                    )
+                try:
+                    results.append(self._step(ctx, sub, buf))
+                except ChannelClosed as closed:
+                    exc = closed
+                    break  # abandon the rest of the batch
         finally:
             if cell is not None:
                 cell[0] = None
         # A list, matching the sequential fast path's reused plan buffer
         # (same type either way).
         return (results if exc is None else None, exc, count)
+
+    def _step(self, ctx: Context, op: Any, buf) -> Any:
+        """Execute one non-fused op and return its result; a dequeue or
+        peek of a closed, drained channel raises :class:`ChannelClosed`."""
+        kind = type(op)
+        if kind is Enqueue:
+            self._do_enqueue(ctx, op)
+            if buf is not None:
+                buf.append(
+                    "enqueue", op.sender.channel.name, ctx.time.now(), op.data
+                )
+            return None
+        if kind is Dequeue or kind is Peek:
+            value = self._do_dequeue(ctx, op, remove=kind is Dequeue)
+            if buf is not None:
+                buf.append(
+                    "dequeue" if kind is Dequeue else "peek",
+                    op.receiver.channel.name, ctx.time.now(), value,
+                )
+            return value
+        if kind is IncrCycles or kind is AdvanceTo:
+            if kind is IncrCycles:
+                ctx.time.incr(op.cycles)
+            else:
+                ctx.time.advance(op.time)
+            if buf is not None:
+                buf.append("advance", None, ctx.time.now())
+            return None
+        if kind is ViewTime:
+            self._ctx_spins[ctx.name] += 1
+            return op.context.time.now()  # SVA: plain atomic load
+        if kind is WaitUntil:
+            return self._wait_until(ctx, op)
+        raise SimulationError(ctx.name, TypeError(f"non-op yielded: {op!r}"))
 
     # ------------------------------------------------------------------
     # Checkpoint pause protocol (DESIGN.md §17).
@@ -751,7 +696,7 @@ class ThreadedExecutor(Executor):
 
     def _ckpt_ack(self, ctx: Context, record: dict) -> None:
         """Publish this context's record, then stay parked — executing
-        nothing — until the controller finishes the capture."""
+        nothing — until the supervisor finishes the capture."""
         slot = self._slots[id(ctx)]
         with self._ckpt_cv:
             if not self._ckpt_request:
@@ -762,7 +707,7 @@ class ThreadedExecutor(Executor):
             self._ckpt_records[slot] = record
             self._ckpt_acked += 1
             self._ckpt_cv.notify_all()
-            # Wait for *this* round to end.  The controller may begin the
+            # Wait for *this* round to end.  The supervisor may begin the
             # next round immediately (interval <= 0), so waiting on the
             # request boolean alone would strand this thread in a stale
             # wait while the new round counts acks it never re-sent.
@@ -771,50 +716,42 @@ class ThreadedExecutor(Executor):
         if self._abort.is_set():
             raise _Aborted
 
-    def _ckpt_loop(self) -> None:
-        """Controller thread: pause, capture, resume at the configured
-        cadence until the run finishes or aborts."""
-        timer = self._ckpt_timer
-        while not self._abort.is_set():
-            with self._unfinished_lock:
-                if self._unfinished <= 0:
-                    return
-            if timer.due():
-                try:
-                    self._ckpt_pause_and_capture()
-                except BaseException as failure:  # noqa: BLE001 - abort the run
-                    self._errors.append(
-                        failure
-                        if isinstance(failure, DamError)
-                        else SimulationError("<checkpoint>", failure)
-                    )
-                    self._abort.set()
-                    return
-            else:
-                _wallclock.sleep(self.poll_interval)
+    def _checkpoint_round(self) -> bool:
+        """One pause/capture/resume round, run by the supervisor.
 
-    def _ckpt_pause_and_capture(self) -> None:
-        """One pause/capture/resume round.
-
-        Raising the request flag makes every live thread acknowledge at
-        its next safe point; a thread that instead *finishes* mid-round
-        leaves the live count, so the wait below converges either way.
-        Threads resumed by the final notify re-check their own state —
-        blocked ops simply re-attempt against the (unchanged) channels.
+        Raising the request flag and waking every parked thread makes
+        each live thread acknowledge at its next safe point; a thread
+        that instead *finishes* leaves the live count (and notifies).
+        Resumed threads re-attempt their blocked ops.  Returns True when
+        every live thread acknowledged from a blocked op — the stall
+        check's evidence.  An expired deadline ends the round uncaptured.
         """
+        deadline_at = self._deadline_at
         with self._ckpt_cv:
             self._ckpt_records = {}
             self._ckpt_acked = 0
             self._ckpt_request = True
             try:
+                self._wake_parked()
                 while not self._abort.is_set():
                     with self._unfinished_lock:
                         live = self._unfinished
                     if live <= 0 or self._ckpt_acked >= live:
                         break
-                    self._ckpt_cv.wait(self.poll_interval)
-                if not self._abort.is_set():
-                    self._capture_checkpoint()
+                    timeout = self.poll_interval
+                    if deadline_at is not None:
+                        left = deadline_at - _wallclock.perf_counter()
+                        if left <= 0:
+                            return False
+                        timeout = min(timeout, left)
+                    self._ckpt_cv.wait(timeout)
+                else:
+                    return False
+                self._capture_checkpoint()
+                return live > 0 and not any(
+                    record.get("executed", True)
+                    for record in self._ckpt_records.values()
+                )
             finally:
                 self._ckpt_request = False
                 self._ckpt_round += 1
@@ -916,29 +853,65 @@ class ThreadedExecutor(Executor):
         """One bounded wait on ``cond`` (caller re-checks its predicate).
 
         ``channel``/``peer`` identify what the context is parked on; they
-        feed the watchdog's stall report.
+        feed the stall report.
         """
-        if self._abort.is_set():
-            raise _Aborted
         self._ctx_parks[ctx.name] += 1
-        site = (detail, channel, peer)
+        self._parked({ctx.name: (detail, channel, peer)}, cond)
+
+    def _parked(self, sites: dict, waiter: Any) -> None:
+        """Wait on ``waiter`` (a condition or an event) for at most
+        ``poll_interval``, with ``sites`` registered as parked on it, so
+        an abort or a checkpoint pause wakes it at once.
+        Both flags are raised before the wakers read the registry and are
+        re-read here under the same lock: a park sees the flag or is woken.
+        """
         with self._blocked_lock:
-            self._blocked_count += 1
-            self._blocked_details[ctx.name] = detail
-            self._blocked_sites[ctx.name] = site
+            self._blocked_count += len(sites)
+            self._blocked_sites.update(sites)
+            self._parked_on.update(dict.fromkeys(sites, waiter))
+            interrupted = self._ckpt_request or self._abort.is_set()
         try:
-            cond.wait(timeout=self.poll_interval)
+            if not interrupted:
+                waiter.wait(self.poll_interval)
         finally:
             with self._blocked_lock:
-                self._blocked_count -= 1
-                self._blocked_details.pop(ctx.name, None)
-                self._blocked_sites.pop(ctx.name, None)
+                self._blocked_count -= len(sites)
+                for name in sites:
+                    self._blocked_sites.pop(name, None)
+                    self._parked_on.pop(name, None)
         if self._abort.is_set():
-            # Keep the park site for the deadlock report.
+            # Keep the park sites for the deadlock report.
             with self._blocked_lock:
-                self._blocked_details[ctx.name] = detail
-                self._blocked_sites[ctx.name] = site
+                self._blocked_sites.update(sites)
             raise _Aborted
+
+    def _wake_parked(self) -> None:
+        """Wake every parked thread and idle cluster driver now."""
+        with self._blocked_lock:
+            waits = set(self._parked_on.values())
+        for wait in waits:
+            if isinstance(wait, threading.Event):
+                wait.set()
+            else:
+                with wait:
+                    wait.notify_all()
+
+    def _abort_run(self) -> None:
+        """Stop the run: every thread unwinds at its next abort check,
+        and the parked ones are woken to make that check now."""
+        self._abort.set()
+        self._settled.set()
+        self._wake_parked()
+        with self._ckpt_cv:
+            self._ckpt_cv.notify_all()
+
+    def _fail(self, error: BaseException, where: str = "<threaded>") -> None:
+        """Record ``error`` (wrapped unless already typed) as the run's
+        outcome and abort it."""
+        if not isinstance(error, DamError):
+            error = SimulationError(where, error)
+        self._errors.append(error)
+        self._abort_run()
 
     # ------------------------------------------------------------------
 
@@ -958,6 +931,13 @@ class ThreadedExecutor(Executor):
                 channel.cond.notify_all()
         with self._unfinished_lock:
             self._unfinished -= 1
+            settled = self._unfinished == 0
+        if settled:
+            self._settled.set()
+        if self._ckpt_timer is not None:
+            # A checkpoint round counts live threads; let it recount.
+            with self._ckpt_cv:
+                self._ckpt_cv.notify_all()
 
     def _timeout_error(self, program: Program) -> RunTimeoutError:
         """Build the deadline abort: stall report + partial summary, with
@@ -988,49 +968,56 @@ class ThreadedExecutor(Executor):
             stall_report=report,
         )
 
-    def _watch(self, threads: list[threading.Thread]) -> None:
-        """Abort the run when all unfinished threads are parked, stalled."""
+    def _supervise(self) -> None:
+        """The run's one supervision point, on the calling thread.
+
+        Sleeps until the run settles (last context finished, or an
+        abort), waking after at most ``poll_interval`` — sooner when the
+        deadline or the next checkpoint is closer — to expire the
+        deadline, take a due checkpoint, or diagnose a deadlock: every
+        unfinished thread parked, with no progress, for ``deadlock_grace``.
+        """
+        timer = self._ckpt_timer
+        deadline_at = self._deadline_at
         stall_start: Optional[float] = None
         last_progress = -1
-        deadline_at = self._deadline_at
-        while not self._abort.is_set():
-            _wallclock.sleep(self.poll_interval)
-            with self._unfinished_lock:
-                unfinished = self._unfinished
-            if unfinished == 0:
+        while True:
+            timeout = self.poll_interval
+            if timer is not None:
+                timeout = min(timeout, timer.remaining())
+            if deadline_at is not None:
+                timeout = min(timeout, deadline_at - _wallclock.perf_counter())
+            if self._settled.wait(max(timeout, 0.0)):
                 return
-            if deadline_at is not None and (
-                _wallclock.perf_counter() >= deadline_at
-            ):
-                self._errors.append(self._timeout_error(self._program))
-                self._abort.set()
+            now = _wallclock.perf_counter()
+            if deadline_at is not None and now >= deadline_at:
+                self._fail(self._timeout_error(self._program))
                 return
-            if self._ckpt_request:
-                # A checkpoint pause freezes every thread on purpose;
-                # stillness during it is not a deadlock.
-                stall_start = None
-                continue
-            progress = self._progress
-            with self._blocked_lock:
-                all_parked = self._blocked_count >= unfinished
-            if progress == last_progress and all_parked:
-                now = _wallclock.perf_counter()
-                if stall_start is None:
-                    stall_start = now
-                elif now - stall_start >= self.deadlock_grace:
-                    # Dump the full stall report while every thread is
-                    # still parked on its recorded site: per-context
-                    # state, the parked-on channel, and both endpoint
-                    # simulated clocks.
-                    report = self._stall_report()
-                    if self.obs is not None:
-                        self.obs.stall_report = report
-                    self._errors.append(DeadlockError(report.lines()))
-                    self._abort.set()
+            if timer is not None and timer.due():
+                try:
+                    stalled = self._checkpoint_round()
+                except Exception as failure:  # noqa: BLE001 - abort the run
+                    self._fail(failure, "<checkpoint>")
                     return
             else:
-                stall_start = None
-                last_progress = progress
+                with self._unfinished_lock:
+                    unfinished = self._unfinished
+                with self._blocked_lock:
+                    stalled = self._blocked_count >= unfinished
+            progress = self._progress
+            if progress != last_progress or not stalled:
+                stall_start, last_progress = None, progress
+            elif stall_start is None:
+                stall_start = now
+            elif now - stall_start >= self.deadlock_grace:
+                # Dump the full stall report while every thread is still
+                # parked on its recorded site: per-context state, the
+                # parked-on channel, and both endpoint simulated clocks.
+                report = self._stall_report()
+                if self.obs is not None:
+                    self.obs.stall_report = report
+                self._fail(DeadlockError(report.lines()))
+                return
 
 
 class _ClusterDriver(SequentialExecutor):
@@ -1041,10 +1028,12 @@ class _ClusterDriver(SequentialExecutor):
     against scratch shadow cells and publish a single vectorized leap
     per turn — a monotone lower bound, exactly the SVA contract foreign
     ``ViewTime``/``WaitUntil`` observers rely on.  Bounded slices keep
-    the parent's abort flag and progress counter live, and idling polls
-    foreign clocks (the one external dependency a cold cluster can
-    have) instead of declaring deadlock — the parent watchdog owns that
-    verdict.
+    the parent's abort flag and progress counter live.  A planned cluster
+    is a whole connected component, so no channel crosses its boundary:
+    the one external dependency it can have is a foreign clock a member
+    waits on.  Idling therefore parks on a wake event that those clocks'
+    advance hooks set, instead of declaring deadlock — the parent
+    supervisor owns that verdict.
     """
 
     name = "threaded-cluster"
@@ -1056,6 +1045,7 @@ class _ClusterDriver(SequentialExecutor):
         # WaitUntil targets seen so far (possibly foreign contexts), so
         # idling can drain their waiters by object, not just by id.
         self._wu_targets: dict[int, Context] = {}
+        self._idle_wake = threading.Event()
 
     def _run_slice(self, state, remaining) -> None:
         parent = self._parent
@@ -1081,44 +1071,41 @@ class _ClusterDriver(SequentialExecutor):
         ]
         if not blocked:
             return False  # every member ran to completion
-        # A foreign clock may have passed a member's WaitUntil threshold.
-        if self._any_time_waiters:
-            for target in list(self._wu_targets.values()):
-                self._drain_time_waiters(target)
-            if self.policy:
-                return True
-        # Genuinely idle: park the whole cluster for one poll interval,
-        # with each member's site registered so the stall report and the
-        # watchdog's stasis detector see the real blocking structure.
-        sites: dict[str, tuple] = {}
-        for st in blocked:
-            op = st.retry_op
-            channel = None
-            if op is not None:
-                port = getattr(op, "sender", None) or getattr(
-                    op, "receiver", None
-                )
-                if port is not None:
-                    channel = port.channel
-            sites[st.context.name] = (st.blocked_detail, channel, None)
-        with parent._blocked_lock:
-            parent._blocked_count += len(sites)
-            for name, site in sites.items():
-                parent._blocked_details[name] = site[0]
-                parent._blocked_sites[name] = site
+        # Subscribe to every clock a member waits on *before* draining,
+        # so an advance landing in between still sets the wake event.
+        wake = self._idle_wake
+        wake.clear()
+        syncs = [parent._time_sync[key] for key in self._time_waiters]
+        for sync in syncs:
+            with sync.cond:
+                sync.waiter_count += 1
+                sync.wakes.append(wake)
         try:
-            _wallclock.sleep(parent.poll_interval)
+            # A foreign clock may have passed a member's WaitUntil threshold.
+            if self._any_time_waiters:
+                for target in list(self._wu_targets.values()):
+                    self._drain_time_waiters(target)
+                if self.policy:
+                    return True
+            # Genuinely idle: park the whole cluster until a subscribed
+            # clock advances or the run aborts, each member's site
+            # registered so the stall report and the supervisor's stall
+            # check see the real blocking structure.
+            sites: dict[str, tuple] = {}
+            for st in blocked:
+                op = st.retry_op
+                channel = None
+                if op is not None:
+                    port = getattr(op, "sender", None) or getattr(
+                        op, "receiver", None
+                    )
+                    if port is not None:
+                        channel = port.channel
+                sites[st.context.name] = (st.blocked_detail, channel, None)
+            parent._parked(sites, wake)
         finally:
-            with parent._blocked_lock:
-                parent._blocked_count -= len(sites)
-                for name in sites:
-                    parent._blocked_details.pop(name, None)
-                    parent._blocked_sites.pop(name, None)
-        if parent._abort.is_set():
-            # Keep the park sites for the deadlock report.
-            with parent._blocked_lock:
-                for name, site in sites.items():
-                    parent._blocked_details[name] = site[0]
-                    parent._blocked_sites[name] = site
-            raise _Aborted
+            for sync in syncs:
+                with sync.cond:
+                    sync.waiter_count -= 1
+                    sync.wakes.remove(wake)
         return True

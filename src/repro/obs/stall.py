@@ -5,8 +5,8 @@ notice but the dependency cycle itself: every blocked context, the channel
 operation it is parked on, and the *simulated* clocks of both endpoints of
 that channel — the receiver stuck at t=5 waiting on a sender already at
 t=12 tells you immediately which way the starvation flows.  Both executors
-build a :class:`StallReport` on deadlock (the threaded watchdog dumps it
-instead of its old bare timeout notice) and attach it to the active
+build a :class:`StallReport` on deadlock (the threaded supervisor dumps
+it instead of a bare timeout notice) and attach it to the active
 :class:`~repro.obs.Observability` object when one is present.
 """
 
