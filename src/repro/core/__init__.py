@@ -45,7 +45,6 @@ from .ops import (
 )
 from .program import Program, ProgramBuilder
 from .time import INFINITY, Time, TimeCell
-from .trace import TraceEvent, Tracer
 
 # Executor machinery is imported lazily (PEP 562): building a program
 # must not pay for runtimes it never selects, and the registry can
@@ -161,8 +160,6 @@ __all__ = [
     "INFINITY",
     "Time",
     "TimeCell",
-    "Tracer",
-    "TraceEvent",
     "latest_checkpoint",
     "list_checkpoints",
     "load_checkpoint",

@@ -557,12 +557,12 @@ class _WorkerExecutor(SequentialExecutor):
                     ),
                 }
         self._active_channels.extend(channels[i] for i in spec.channels)
-        tracer = self.tracer
+        trace = self.obs.trace if self.obs is not None else None
         for slot in spec.contexts:
             ctx = contexts[slot]
             state = _ContextState(ctx)
-            if tracer is not None:
-                state.buffer = tracer.buffer(ctx.name)
+            if trace is not None:
+                state.buffer = trace.buffer(ctx.name)
             self._states[id(ctx)] = state
             record = (
                 self._ckpt_resume.get(slot)
@@ -614,11 +614,11 @@ class _WorkerExecutor(SequentialExecutor):
                 "contexts": [contexts[slot].name for slot in spec.contexts],
             }
             self.migrations.append(record)
-            if tracer is not None:
+            if trace is not None:
                 # Steals land in a worker-scoped pseudo-buffer, never in
                 # a migrated context's buffer: per-context event streams
                 # (and their seq counters) stay schedule-independent.
-                tracer.buffer(f"<worker-{self._worker}>").append(
+                trace.buffer(f"<worker-{self._worker}>").append(
                     "migrate", None, 0, dict(record)
                 )
 
@@ -928,18 +928,17 @@ class _WorkerExecutor(SequentialExecutor):
 # ----------------------------------------------------------------------
 
 
-def _shippable_events(events: list) -> list:
-    """Trace events, with payloads stripped if they refuse to pickle."""
+def _shippable_records(buf) -> list:
+    """A buffer's raw trace records, with payloads stripped if they refuse
+    to pickle (without payload capture every payload is None)."""
+    records = buf.records
+    if not buf.capture_payloads:
+        return records
     try:
-        pickle.dumps(events)
-        return events
+        pickle.dumps(records)
+        return records
     except Exception:  # noqa: BLE001
-        from ...obs.events import TraceEvent
-
-        return [
-            TraceEvent(e.context, e.kind, e.channel, e.time, None, e.seq)
-            for e in events
-        ]
+        return [(kind, channel, time, None) for kind, channel, time, _ in records]
 
 
 def _harvest(executor: _WorkerExecutor, obs) -> dict:
@@ -1027,18 +1026,18 @@ def _harvest(executor: _WorkerExecutor, obs) -> dict:
     for proxy in recv_proxies:
         ship(proxy.id, proxy.stats, proxy.profile_log)
 
-    trace_events: dict[str, list] = {}
+    trace_records: dict[str, list] = {}
     if obs is not None and obs.trace is not None:
         for name, buf in obs.trace.buffers().items():
-            if buf.events:
-                trace_events[name] = _shippable_events(buf.events)
+            if buf.records:
+                trace_records[name] = _shippable_records(buf)
 
     return {
         "finish_times": finish_times,
         "context_attrs": context_attrs,
         "context_stats": context_stats,
         "channel_stats": channel_stats,
-        "trace": trace_events,
+        "trace": trace_records,
         "migrations": executor.migrations,
         "counters": {
             "context_switches": executor.context_switches,
@@ -1488,7 +1487,6 @@ class ProcessExecutor(Executor):
         workers: int = 2,
         policy: str | SchedulingPolicy = "fifo",
         max_ops: Optional[int] = None,
-        tracer=None,
         obs: Optional[Observability] = None,
         weights: Optional[dict[str, float]] = None,
         pins: Optional[dict[int, int]] = None,
@@ -1518,10 +1516,7 @@ class ProcessExecutor(Executor):
         self.policy_spec = policy
         self.policy = make_policy(policy)
         self.max_ops = max_ops
-        if obs is None and tracer is not None:
-            obs = Observability.from_trace(tracer)
         self.obs = obs
-        self.tracer = obs.trace if obs is not None else None
         self.weights = weights
         self.pins = pins
         self.balance = balance

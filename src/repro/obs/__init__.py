@@ -4,10 +4,10 @@ DAM's pitch is that functionality and timing live together in each
 context; this package makes the *timing* half inspectable on every
 executor.  The pieces:
 
-* :mod:`~repro.obs.events` — per-context lock-free event buffers, merged
-  deterministically by ``(time, context, seq)``;
+* :mod:`~repro.obs.events` — per-context lock-free buffers of raw event
+  records, merged deterministically by ``(time, context, seq)`` on query;
 * :mod:`~repro.obs.trace` — :class:`TraceCollector`, the executor-agnostic
-  replacement for the old sequential-only ``Tracer``;
+  trace collector;
 * :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges, and histograms folded into ``RunSummary.metrics``;
 * :mod:`~repro.obs.export` — Chrome trace-event / Perfetto JSON and CSV;
@@ -124,13 +124,6 @@ class Observability:
         #: Samples taken by the live :class:`MetricsSampler` when
         #: ``RunConfig(metrics_interval_s=...)`` was set.
         self.metrics_samples: list[dict[str, Any]] = []
-
-    @classmethod
-    def from_trace(cls, trace: TraceCollector) -> "Observability":
-        """Wrap an existing collector (the legacy ``tracer=`` path)."""
-        obs = cls(trace=False, metrics=False)
-        obs.trace = trace
-        return obs
 
     # ------------------------------------------------------------------
     # Exporters.

@@ -83,40 +83,31 @@ def to_chrome_trace(
     # Channel ops as slices: one track per context, each op spanning from
     # the context's previous event time to the op's completion time.
     flow_points: dict[str, list[tuple[str, Any, int]]] = {}
-    for name in sorted(buffers):
-        buf = buffers[name]
-        tid = tids[name]
+    for name, tid in tids.items():
         prev_time = 0
-        for event in buf.events:
-            ts = prev_time
-            dur = event.time - prev_time
-            args: dict[str, Any] = {"seq": event.seq}
-            if event.channel is not None:
-                args["channel"] = event.channel
-            if event.payload is not None:
-                args["payload"] = _payload_str(event.payload)
-            label = (
-                f"{event.kind} {event.channel}"
-                if event.channel is not None
-                else event.kind
-            )
+        for seq, (kind, channel, time, payload) in enumerate(
+            buffers[name].records
+        ):
+            args: dict[str, Any] = {"seq": seq}
+            if channel is not None:
+                args["channel"] = channel
+            if payload is not None:
+                args["payload"] = _payload_str(payload)
             events.append(
                 {
-                    "name": label,
-                    "cat": "channel" if event.channel is not None else "time",
+                    "name": f"{kind} {channel}" if channel is not None else kind,
+                    "cat": "channel" if channel is not None else "time",
                     "ph": "X",
                     "pid": _PID,
                     "tid": tid,
-                    "ts": ts,
-                    "dur": dur,
+                    "ts": prev_time,
+                    "dur": time - prev_time,
                     "args": args,
                 }
             )
-            prev_time = event.time
-            if event.channel is not None and event.kind in ("enqueue", "dequeue"):
-                flow_points.setdefault(event.channel, []).append(
-                    (event.kind, event.time, tid)
-                )
+            prev_time = time
+            if channel is not None and kind in ("enqueue", "dequeue"):
+                flow_points.setdefault(channel, []).append((kind, time, tid))
 
     # Channel transfers as flow arrows: FIFO order pairs the k-th enqueue
     # with the k-th dequeue.

@@ -1,8 +1,8 @@
 """Post-run performance attribution: critical path, blocked time, epochs.
 
-The merged trace already answers *what happened*; this module answers
-*why the run took as long as it did*.  Three artifacts come out of one
-pass over the events:
+The trace already answers *what happened*; this module answers *why
+the run took as long as it did*.  Three artifacts come out of one index
+over the per-context record streams (never the merged timeline):
 
 * **Critical path** — the longest dependency chain of
   ``(context op -> channel delivery -> context op)`` edges bounding
@@ -31,9 +31,9 @@ pass over the events:
   and the resulting utilization fraction.  Feeds the Perfetto counter
   track in :mod:`repro.obs.export`.
 
-Because the trace is executor-independent (the obs suite's golden
-property), everything computed here is too: sequential, threaded and
-process runs of the same program produce bit-identical profiles.
+Because each context's stream is executor-independent (the obs suite's
+golden property), everything computed here is too: sequential, threaded
+and process runs of the same program produce bit-identical profiles.
 
 Known limitation: ``WaitUntil`` does not advance the waiter's local
 clock, so time spent waiting on a peer clock surfaces as the *next*
@@ -57,9 +57,17 @@ BLOCKED_ON_ENQUEUE = "blocked_on_enqueue"
 OVERHEAD = "overhead"
 CATEGORIES = (COMPUTE, BLOCKED_ON_DEQUEUE, BLOCKED_ON_ENQUEUE, OVERHEAD)
 
-#: Event kinds the analyzer understands; anything else (supervisor crash
-#: markers, future kinds) is ignored rather than misattributed.
-_KINDS = {"enqueue", "dequeue", "peek", "advance", "finish"}
+#: Event kinds the analyzer understands, each with the category a wait on
+#: it is charged to when it is a channel op (ops without a channel are
+#: always compute).  Any other kind (supervisor crash markers, future
+#: kinds) is ignored rather than misattributed.
+_CHANNEL_CATEGORY = {
+    "enqueue": BLOCKED_ON_ENQUEUE,
+    "dequeue": BLOCKED_ON_DEQUEUE,
+    "peek": BLOCKED_ON_DEQUEUE,
+    "advance": COMPUTE,
+    "finish": COMPUTE,
+}
 
 DEFAULT_EPOCHS = 32
 SCHEMA_VERSION = 1
@@ -237,53 +245,82 @@ class ProfileReport:
 # ----------------------------------------------------------------------
 
 
-class _Index:
-    """Per-context streams plus per-channel FIFO op orders."""
+def _records_of(events: Iterable[TraceEvent]) -> dict[str, list[tuple]]:
+    """Group query-view events back into per-context record streams in
+    ``seq`` order (the shape :class:`_Index` reads)."""
+    by_context: dict[str, list[TraceEvent]] = {}
+    for event in events:
+        by_context.setdefault(event.context, []).append(event)
+    return {
+        name: [
+            (e.kind, e.channel, e.time, e.payload)
+            for e in sorted(stream, key=lambda e: e.seq)
+        ]
+        for name, stream in by_context.items()
+    }
 
-    def __init__(self, events: Iterable[TraceEvent]):
-        streams: dict[str, list[TraceEvent]] = {}
-        for event in events:
-            if event.kind not in _KINDS or event.time == INFINITY:
-                continue
-            streams.setdefault(event.context, []).append(event)
-        for stream in streams.values():
-            stream.sort(key=lambda e: e.seq)
-        self.streams = streams
+
+class _Index:
+    """Per-context op streams plus per-channel FIFO op orders.
+
+    ``streams`` maps each context to its ``(kind, channel, time,
+    payload)`` records in ``seq`` order, keeping only the kinds the
+    analyzer understands and finite times.  An op is named by
+    ``(context, position in its stream)``.
+    """
+
+    def __init__(self, records: Mapping[str, list[tuple]]):
+        self.streams: dict[str, list[tuple]] = {}
+        #: Per context, parallel to its stream: an enqueue's or dequeue's
+        #: FIFO ordinal on its channel; for a peek, the ordinal of the
+        #: dequeue that will consume the peeked element (= dequeues issued
+        #: so far); None for ops without a channel.
+        self.ordinals: dict[str, list[int | None]] = {}
         # FIFO order per channel: channels have one sender and one
         # receiver, so each side's stream order *is* the channel order.
-        self.chan_enq: dict[str, list[tuple[str, int]]] = {}
-        self.chan_deq: dict[str, list[tuple[str, int]]] = {}
-        self.enq_times: dict[str, list[Time]] = {}
-        self.deq_times: dict[str, list[Time]] = {}
-        #: (context, idx) of an op -> its FIFO ordinal on its channel.
-        self.enq_ord: dict[tuple[str, int], int] = {}
-        self.deq_ord: dict[tuple[str, int], int] = {}
-        #: (context, idx) of a peek -> ordinal of the dequeue that will
-        #: consume the peeked element (= dequeues issued so far).
-        self.peek_ord: dict[tuple[str, int], int] = {}
-        for name in sorted(streams):
+        chan_enq: dict[str, list[tuple[str, int]]] = {}
+        chan_deq: dict[str, list[tuple[str, int]]] = {}
+        enq_times: dict[str, list[Time]] = {}
+        deq_times: dict[str, list[Time]] = {}
+        for name in sorted(records):
+            stream: list[tuple] = []
+            ordinals: list[int | None] = []
             deq_seen: dict[str, int] = {}
-            for idx, event in enumerate(streams[name]):
-                if event.channel is None:
+            for record in records[name]:
+                kind, channel, time, _ = record
+                if kind not in _CHANNEL_CATEGORY or time == INFINITY:
                     continue
-                key = (name, idx)
-                if event.kind == "enqueue":
-                    order = self.chan_enq.setdefault(event.channel, [])
-                    self.enq_ord[key] = len(order)
-                    order.append(key)
-                    self.enq_times.setdefault(event.channel, []).append(
-                        event.time
-                    )
-                elif event.kind == "dequeue":
-                    order = self.chan_deq.setdefault(event.channel, [])
-                    self.deq_ord[key] = len(order)
-                    order.append(key)
-                    self.deq_times.setdefault(event.channel, []).append(
-                        event.time
-                    )
-                    deq_seen[event.channel] = deq_seen.get(event.channel, 0) + 1
-                elif event.kind == "peek":
-                    self.peek_ord[key] = deq_seen.get(event.channel, 0)
+                if channel is None:
+                    ordinals.append(None)
+                elif kind == "enqueue":
+                    order = chan_enq.get(channel)
+                    if order is None:
+                        order = chan_enq[channel] = []
+                        enq_times[channel] = []
+                    ordinals.append(len(order))
+                    order.append((name, len(stream)))
+                    enq_times[channel].append(time)
+                elif kind == "dequeue":
+                    order = chan_deq.get(channel)
+                    if order is None:
+                        order = chan_deq[channel] = []
+                        deq_times[channel] = []
+                    ordinals.append(len(order))
+                    order.append((name, len(stream)))
+                    deq_times[channel].append(time)
+                    deq_seen[channel] = deq_seen.get(channel, 0) + 1
+                elif kind == "peek":
+                    ordinals.append(deq_seen.get(channel, 0))
+                else:
+                    ordinals.append(None)
+                stream.append(record)
+            if stream:
+                self.streams[name] = stream
+                self.ordinals[name] = ordinals
+        self.chan_enq = chan_enq
+        self.chan_deq = chan_deq
+        self.enq_times = enq_times
+        self.deq_times = deq_times
 
     def total_events(self) -> int:
         return sum(len(s) for s in self.streams.values())
@@ -291,11 +328,8 @@ class _Index:
     def makespan_start(self) -> tuple[str, int, Time] | None:
         """(context, last index, finish time) of the makespan context."""
         best: tuple[str, int, Time] | None = None
-        for name in sorted(self.streams):
-            stream = self.streams[name]
-            if not stream:
-                continue
-            last = stream[-1].time
+        for name, stream in self.streams.items():
+            last = stream[-1][2]
             if best is None or last > best[2]:
                 best = (name, len(stream) - 1, last)
         return best
@@ -306,24 +340,18 @@ class _Index:
 # ----------------------------------------------------------------------
 
 
-def _category_of(event: TraceEvent) -> str:
-    if event.channel is None:
-        return COMPUTE
-    if event.kind in ("dequeue", "peek"):
-        return BLOCKED_ON_DEQUEUE
-    if event.kind == "enqueue":
-        return BLOCKED_ON_ENQUEUE
-    return COMPUTE
+def _category_of(kind: str, channel: str | None) -> str:
+    return COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
 
 
 def _producer_of(
     index: _Index,
-    event: TraceEvent,
-    key: tuple[str, int],
+    channel: str,
+    time: Time,
+    ordinal: int | None,
     channel_meta: Mapping[str, Mapping[str, Any]],
 ) -> tuple[str, int] | None:
     """The enqueue whose value this dequeue/peek consumed."""
-    channel = event.channel
     enqueues = index.chan_enq.get(channel)
     if not enqueues:
         return None
@@ -332,29 +360,24 @@ def _producer_of(
     if latency is not None:
         # stamp = sender_time + latency; exact match wins (rightmost, so
         # zero-latency self-loops resolve deterministically).
-        target = event.time - latency
+        target = time - latency
         pos = bisect_right(times, target) - 1
         if pos >= 0 and times[pos] == target:
             return enqueues[pos]
-    ordinal = (
-        index.deq_ord.get(key)
-        if event.kind == "dequeue"
-        else index.peek_ord.get(key)
-    )
     if ordinal is not None and ordinal < len(enqueues):
         return enqueues[ordinal]
-    pos = bisect_right(times, event.time) - 1
+    pos = bisect_right(times, time) - 1
     return enqueues[pos] if pos >= 0 else None
 
 
 def _unblocker_of(
     index: _Index,
-    event: TraceEvent,
-    key: tuple[str, int],
+    channel: str,
+    time: Time,
+    ordinal: int | None,
     channel_meta: Mapping[str, Mapping[str, Any]],
 ) -> tuple[str, int] | None:
     """The dequeue whose response freed the slot this enqueue waited on."""
-    channel = event.channel
     dequeues = index.chan_deq.get(channel)
     if not dequeues:
         return None
@@ -362,17 +385,16 @@ def _unblocker_of(
     meta = channel_meta.get(channel) or {}
     resp_latency = meta.get("resp_latency")
     if resp_latency is not None:
-        target = event.time - resp_latency
+        target = time - resp_latency
         pos = bisect_right(times, target) - 1
         if pos >= 0 and times[pos] == target:
             return dequeues[pos]
     capacity = meta.get("capacity")
-    ordinal = index.enq_ord.get(key)
     if capacity is not None and ordinal is not None:
         pos = ordinal - capacity
         if 0 <= pos < len(dequeues):
             return dequeues[pos]
-    pos = bisect_right(times, event.time) - 1
+    pos = bisect_right(times, time) - 1
     return dequeues[pos] if pos >= 0 else None
 
 
@@ -391,6 +413,7 @@ def _critical_path(
     """
     segments: list[PathSegment] = []
     visited: set[tuple[str, int]] = set()
+    streams = index.streams
     ctx, idx = start
     cursor = finish_time
     limit = 4 * index.total_events() + 16
@@ -402,35 +425,36 @@ def _critical_path(
     steps = 0
     while cursor > 0 and idx >= 0 and steps < limit:
         steps += 1
-        stream = index.streams[ctx]
-        event = stream[idx]
-        prev_time = stream[idx - 1].time if idx > 0 else 0
+        stream = streams[ctx]
+        kind, channel, time, _ = stream[idx]
+        prev_time = stream[idx - 1][2] if idx > 0 else 0
         key = (ctx, idx)
         waited = cursor > prev_time
         first_visit = key not in visited
         visited.add(key)
         target: tuple[str, int] | None = None
-        if waited and first_visit and event.channel is not None:
-            if event.kind in ("dequeue", "peek"):
-                target = _producer_of(index, event, key, channel_meta)
-            elif event.kind == "enqueue":
-                target = _unblocker_of(index, event, key, channel_meta)
+        if waited and first_visit and channel is not None:
+            ordinal = index.ordinals[ctx][idx]
+            if kind in ("dequeue", "peek"):
+                target = _producer_of(index, channel, time, ordinal, channel_meta)
+            elif kind == "enqueue":
+                target = _unblocker_of(index, channel, time, ordinal, channel_meta)
         if target is not None:
             t_ctx, t_idx = target
-            t_time = index.streams[t_ctx][t_idx].time
+            t_time = streams[t_ctx][t_idx][2]
             # Only jump when it makes progress toward t=0; a malformed
             # or already-walked target degrades to a step-back instead.
-            if t_time < cursor and (t_ctx, t_idx) not in visited:
-                emit(_category_of(event), ctx, event.channel, t_time)
+            if t_time < cursor and target not in visited:
+                emit(_category_of(kind, channel), ctx, channel, t_time)
                 ctx, idx, cursor = t_ctx, t_idx, t_time
                 continue
-            if t_time == cursor and (t_ctx, t_idx) not in visited:
+            if t_time == cursor and target not in visited:
                 # Zero-latency edge: follow it without emitting a segment.
                 ctx, idx = t_ctx, t_idx
                 continue
         # Step back within this context.
         if waited:
-            emit(_category_of(event), ctx, event.channel, prev_time)
+            emit(_category_of(kind, channel), ctx, channel, prev_time)
         cursor = min(cursor, prev_time)
         idx -= 1
     if cursor > 0:
@@ -454,34 +478,55 @@ def _attribute(
     n_contexts = len(index.streams)
     width = finish_time / epochs if finish_time > 0 and epochs > 0 else 0
     bins = [[0.0, 0.0] for _ in range(epochs)] if width else []
+    last_bin = epochs - 1
+    edges = [pos * width for pos in range(epochs + 1)] if width else []
 
-    def bin_interval(lo: Time, hi: Time, slot: int) -> None:
-        if not width or hi <= lo:
-            return
-        first = min(int(lo / width), epochs - 1)
-        last = min(int(hi / width), epochs - 1)
-        for pos in range(first, last + 1):
-            left = max(lo, pos * width)
-            right = min(hi, (pos + 1) * width)
-            if right > left:
-                bins[pos][slot] += right - left
-
-    for name in sorted(index.streams):
+    for name, stream in index.streams.items():
         totals = {cat: 0 for cat in CATEGORIES}
         prev = 0
-        for event in index.streams[name]:
-            delta = event.time - prev
+        prev_bin = 0  # the epoch ``prev`` falls in (clamped to the last)
+        for kind, channel, time, _ in stream:
+            delta = time - prev
             if delta > 0:
-                category = _category_of(event)
+                if channel is None:
+                    category = COMPUTE
+                else:
+                    category = _CHANNEL_CATEGORY[kind]
+                    if category != COMPUTE:
+                        chan = per_channel.get(channel)
+                        if chan is None:
+                            chan = per_channel[channel] = {
+                                BLOCKED_ON_DEQUEUE: 0, BLOCKED_ON_ENQUEUE: 0
+                            }
+                        chan[category] += delta
                 totals[category] += delta
-                if event.channel is not None and category != COMPUTE:
-                    chan = per_channel.setdefault(
-                        event.channel,
-                        {BLOCKED_ON_DEQUEUE: 0, BLOCKED_ON_ENQUEUE: 0},
-                    )
-                    chan[category] = chan.get(category, 0) + delta
-                bin_interval(prev, event.time, 0 if category == COMPUTE else 1)
-            prev = event.time
+                if width:
+                    # Bin [prev, time] into the epochs it overlaps.  The
+                    # common one-epoch span is inlined; it computes the
+                    # same max/min/subtract terms as the general loop, so
+                    # the float sums stay bit-identical.
+                    slot = 0 if category == COMPUTE else 1
+                    first = prev_bin
+                    last = int(time / width)
+                    if last > last_bin:
+                        last = last_bin
+                    prev_bin = last
+                    if first == last:
+                        edge = edges[first]
+                        left = edge if edge > prev else prev
+                        edge = edges[first + 1]
+                        right = edge if edge < time else time
+                        if right > left:
+                            bins[first][slot] += right - left
+                    else:
+                        for pos in range(first, last + 1):
+                            left = max(prev, edges[pos])
+                            right = min(time, edges[pos + 1])
+                            if right > left:
+                                bins[pos][slot] += right - left
+            elif delta < 0 and width:
+                prev_bin = min(int(time / width), last_bin)
+            prev = time
         totals["finish_time"] = prev
         totals["idle"] = finish_time - prev
         per_context[name] = totals
@@ -518,11 +563,16 @@ def profile_trace(
     epochs: int = DEFAULT_EPOCHS,
 ) -> ProfileReport:
     """Analyze a trace (collector or bare event iterable) into a
-    :class:`ProfileReport`."""
-    events = (
-        trace.events if isinstance(trace, TraceCollector) else list(trace)
-    )
-    index = _Index(events)
+    :class:`ProfileReport`.
+
+    A collector is read per context, straight from its buffers' records:
+    the analysis never needs the merged ``(time, context, seq)`` order.
+    """
+    if isinstance(trace, TraceCollector):
+        records = {name: buf.records for name, buf in trace.buffers().items()}
+    else:
+        records = _records_of(trace)
+    index = _Index(records)
     meta = channel_meta or {}
     start = index.makespan_start()
     if start is None:

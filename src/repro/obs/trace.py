@@ -2,10 +2,9 @@
 
 A :class:`TraceCollector` hands each context its own
 :class:`~repro.obs.events.ContextTraceBuffer` and merges the buffers into
-one deterministic timeline at query time.  It supersedes the old
-sequential-only ``repro.core.trace.Tracer`` (which survives as a thin
-compatibility subclass) and is the substrate for the exporters in
-:mod:`repro.obs.export`.
+one deterministic timeline only when a query asks for it.  The profiler
+and the Chrome exporter read the per-context buffers directly and never
+merge.  It is the substrate for the exporters in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class TraceCollector:
     def events(self) -> list[TraceEvent]:
         """All events merged into the deterministic ``(time, context,
         seq)`` order.  Cached; recomputed when new events have arrived."""
-        total = sum(len(buf.events) for buf in self._buffers.values())
+        total = len(self)
         if self._merged is None or len(self._merged) != total:
             # Each buffer is already sorted by the key (a context's clock
             # is monotone and seq increments), so an n-way merge suffices.
@@ -92,7 +91,8 @@ class TraceCollector:
         return self._merged
 
     def buffers(self) -> dict[str, ContextTraceBuffer]:
-        """The raw per-context buffers (exporters iterate these)."""
+        """The raw per-context buffers (the profiler and exporters read
+        their ``records`` directly)."""
         return self._buffers
 
     # ------------------------------------------------------------------
@@ -119,7 +119,7 @@ class TraceCollector:
         ]
 
     def __len__(self) -> int:
-        return sum(len(buf.events) for buf in self._buffers.values())
+        return sum(len(buf.records) for buf in self._buffers.values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

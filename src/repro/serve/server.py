@@ -113,12 +113,6 @@ class SimServer:
         self.address = sock.getsockname()[:2]
         return self.address
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def shutdown(self) -> None:
         """Stop accepting, drain open connections, release the pool."""
         if self._server is not None:
@@ -576,25 +570,38 @@ def start_in_thread(config: Optional[ServeConfig] = None) -> ServerHandle:
 
 
 def serve(config: Optional[ServeConfig] = None, **overrides: Any) -> None:
-    """Run a server in the foreground until interrupted (the CLI path).
+    """Run a server in the foreground until SIGTERM or SIGINT (the CLI
+    path).  Either signal stops accepting, drains open connections and
+    runs :meth:`SimServer.shutdown` (which saves the plan cache), and the
+    call returns normally.  A SIGINT that was ignored when the server
+    started (a background job's) stays ignored.
 
     ``overrides`` are :class:`ServeConfig` fields applied on top of
     ``config`` — ``serve(port=8750, max_concurrent=4)`` just works.
     """
     import dataclasses
+    import signal
 
     config = config or ServeConfig()
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    stop_signals = [signal.SIGTERM]
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        stop_signals.append(signal.SIGINT)
 
     async def main() -> None:
         server = SimServer(config)
-        host, port = await server.start()
+        host, port = await server.start()  # accepting from here on
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in stop_signals:
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except NotImplementedError:  # pragma: no cover - no Unix signals
+                pass
         print(f"repro.serve listening on http://{host}:{port}", flush=True)
         try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - signal path
-            pass
+            await stop.wait()
         finally:
             await server.shutdown()
 

@@ -1,7 +1,8 @@
 """Tests for simulation tracing."""
 
-from repro.core import ProgramBuilder, SequentialExecutor, Tracer
+from repro.core import ProgramBuilder, SequentialExecutor
 from repro.contexts import Collector, RampSource, UnaryFunction
+from repro.obs import Observability
 
 
 def traced_pipeline(n=5, capture_payloads=False):
@@ -11,9 +12,9 @@ def traced_pipeline(n=5, capture_payloads=False):
     builder.add(RampSource(s1, n, name="src"))
     builder.add(UnaryFunction(r1, s2, lambda x: 2 * x, name="double"))
     builder.add(Collector(r2, name="sink"))
-    tracer = Tracer(capture_payloads=capture_payloads)
-    SequentialExecutor(tracer=tracer).execute(builder.build())
-    return tracer
+    obs = Observability(metrics=False, capture_payloads=capture_payloads)
+    SequentialExecutor(obs=obs).execute(builder.build())
+    return obs.trace
 
 
 class TestTracer:
@@ -68,5 +69,7 @@ class TestTracer:
         s2, r2 = builder2.bounded(2)
         builder2.add(RampSource(s2, 6))
         builder2.add(Checker(r2, list(range(6))))
-        traced = SequentialExecutor(tracer=Tracer()).execute(builder2.build())
+        traced = SequentialExecutor(obs=Observability()).execute(
+            builder2.build()
+        )
         assert traced.elapsed_cycles == untraced.elapsed_cycles
